@@ -35,12 +35,19 @@ each pool-bound request whose backend consumes snapshots, the engine
 prepares the graph once, publishes the bundle into a shared-memory
 segment (:meth:`~repro.graph.prepared.PreparedGraph.to_shm`) and ships
 the **segment name** with the request instead of letting every worker
-re-pickle or re-prepare the graph.  Workers attach zero-copy, re-verify
-the content fingerprint, and seed their process-local cache, so each
-worker pays one attach per graph instead of one preparation per
-request.  The engine end owns segment lifecycle through the module-wide
-:class:`SharedPreparedExports` registry: segments are destroyed when
-their snapshot is evicted from the cache LRU, on
+re-pickle or re-prepare the graph.  The parent does each graph's work
+once per batch: a batch-scoped memo keyed by the request's
+:class:`~repro.api.request.GraphSpec` materialises (and, through the
+cache's identity fast path, fingerprints) every distinct spec once,
+not once per request.  The segment carries the CSR arrays and the
+graph but not the two-hop ``N_{<=2}`` arrays, unless the bundle
+already memoised them: workers peel the residual left after S1's core
+reduction, which they prepare themselves.  Workers attach zero-copy,
+re-verify the content fingerprint, and seed their process-local cache,
+so each worker pays one attach per graph instead of one preparation
+per request.  The engine end owns segment lifecycle through the
+module-wide :class:`SharedPreparedExports` registry: segments are
+destroyed when their snapshot is evicted from the cache LRU, on
 :meth:`MBBEngine.shutdown`, and in an ``atexit`` hook — so a crashed
 worker (or a crashed batch) can never leak a named segment, and the
 registry is pid-guarded so forked workers can never tear down their
@@ -216,7 +223,20 @@ class PreparedGraphCache:
         self._entries: "OrderedDict[str, PreparedGraph]" = OrderedDict()
 
     def get(self, graph: BipartiteGraph) -> Tuple[PreparedGraph, bool]:
-        """Return ``(prepared, hit)`` for ``graph``, preparing on a miss."""
+        """Return ``(prepared, hit)`` for ``graph``, preparing on a miss.
+
+        An entry built from this very graph object, unmutated since
+        (same :attr:`~repro.graph.bipartite.BipartiteGraph.version`), is
+        a hit without re-fingerprinting — the common case of a pool
+        worker solving its attached bundle's own graph, or a batch
+        reusing one materialisation.  Any other graph is looked up by
+        content fingerprint.
+        """
+        for fingerprint, cached in self._entries.items():
+            if cached.graph is graph and cached.graph_version == graph.version:
+                self._entries.move_to_end(fingerprint)
+                self.hits += 1
+                return cached, True
         fingerprint = graph_fingerprint(graph)
         cached = self._entries.get(fingerprint)
         if cached is not None and cached.graph == graph:
@@ -224,7 +244,7 @@ class PreparedGraphCache:
             self.hits += 1
             return cached, True
         self.misses += 1
-        prepared = PreparedGraph.prepare(graph)
+        prepared = PreparedGraph.prepare(graph, fingerprint=fingerprint)
         self.seed(fingerprint, prepared)
         return prepared, False
 
@@ -698,9 +718,14 @@ class MBBEngine:
         #: its future would be marked running while it merely waits.
         pending: "deque[Tuple[int, bool]]" = deque()
 
+        #: Batch-scoped memo of materialised graphs (see _shm_handle_for).
+        graphs: "OrderedDict[GraphSpec, BipartiteGraph]" = OrderedDict()
+
         def submit(idx: int, *, count_attempt: bool = True) -> None:
             request = batch[idx]
-            handle = self._shm_handle_for(request) if share_prepared else None
+            handle = (
+                self._shm_handle_for(request, graphs) if share_prepared else None
+            )
             if handle is None:
                 future = pool.submit(_solve_request_json, request.to_json())
             else:
@@ -1061,12 +1086,23 @@ class MBBEngine:
                 continue
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _shm_handle_for(self, request: SolveRequest) -> Optional[PreparedGraphShm]:
+    def _shm_handle_for(
+        self,
+        request: SolveRequest,
+        graphs: Optional["OrderedDict[GraphSpec, BipartiteGraph]"] = None,
+    ) -> Optional[PreparedGraphShm]:
         """Publish the request's prepared graph, or ``None`` to ship JSON.
 
         Sharing only applies when the backend actually consumes prepared
         snapshots (and ``auto`` would not resolve to the dense solver,
-        which ignores them).  Expected failures degrade to the plain
+        which ignores them).  ``graphs`` is the batch's memo of
+        materialised specs (:meth:`_materialise_for_batch`): with it,
+        every distinct spec is materialised once per batch, and the
+        cache lookup of a repeated spec is an identity hit instead of a
+        re-fingerprint.  The fault point and the export-registry lookup
+        still run per request, so a fault lands on exactly the request
+        it is keyed to, and a segment evicted mid-batch is re-published
+        rather than reused.  Expected failures degrade to the plain
         JSON path — an unknown backend or a spec that does not
         materialise makes the worker produce the canonical error report,
         and shm-filesystem pressure (``OSError``/``MemoryError``) just
@@ -1085,7 +1121,7 @@ class MBBEngine:
             return None
         try:
             faults.hit("shm.export", key=request.tag or "")
-            graph = request.graph.materialise()
+            graph = self._materialise_for_batch(request.graph, graphs)
             resolved = request.backend
             if resolved == "auto":
                 from repro.api.backends import resolve_auto
@@ -1114,6 +1150,30 @@ class MBBEngine:
                 stacklevel=2,
             )
             return None
+
+    def _materialise_for_batch(
+        self,
+        spec: GraphSpec,
+        graphs: Optional["OrderedDict[GraphSpec, BipartiteGraph]"],
+    ) -> BipartiteGraph:
+        """``spec.materialise()``, memoised in a batch's ``graphs`` memo.
+
+        The memo is an LRU capped at the prepared cache's capacity, so a
+        long sweep over many graphs holds no more graphs than the cache
+        does.  Failures are not memoised: each request naming a spec
+        that does not materialise raises (and degrades) on its own.
+        """
+        if graphs is None:
+            return spec.materialise()
+        graph = graphs.get(spec)
+        if graph is None:
+            graph = spec.materialise()
+            graphs[spec] = graph
+            while len(graphs) > self.prepared_cache.capacity:
+                graphs.popitem(last=False)
+        else:
+            graphs.move_to_end(spec)
+        return graph
 
     def shutdown(self) -> None:
         """Destroy every shared-memory segment this process published.

@@ -52,7 +52,7 @@ class BipartiteGraph:
     3
     """
 
-    __slots__ = ("_adj_left", "_adj_right", "_num_edges")
+    __slots__ = ("_adj_left", "_adj_right", "_num_edges", "_version")
 
     def __init__(
         self,
@@ -63,6 +63,7 @@ class BipartiteGraph:
         self._adj_left: Dict[Vertex, Set[Vertex]] = {}
         self._adj_right: Dict[Vertex, Set[Vertex]] = {}
         self._num_edges = 0
+        self._version = 0
         if left is not None:
             for u in left:
                 self.add_left_vertex(u, exist_ok=True)
@@ -83,6 +84,7 @@ class BipartiteGraph:
                 return
             raise DuplicateVertexError(LEFT, u)
         self._adj_left[u] = set()
+        self._version += 1
 
     def add_right_vertex(self, v: Vertex, *, exist_ok: bool = False) -> None:
         """Add an isolated vertex to the right side."""
@@ -91,6 +93,7 @@ class BipartiteGraph:
                 return
             raise DuplicateVertexError(RIGHT, v)
         self._adj_right[v] = set()
+        self._version += 1
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Add the edge ``(u, v)`` creating missing endpoints on demand.
@@ -105,6 +108,7 @@ class BipartiteGraph:
             self._adj_left[u].add(v)
             self._adj_right[v].add(u)
             self._num_edges += 1
+            self._version += 1
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``(u, v)``; raise if the edge is absent."""
@@ -117,6 +121,7 @@ class BipartiteGraph:
         self._adj_left[u].discard(v)
         self._adj_right[v].discard(u)
         self._num_edges -= 1
+        self._version += 1
 
     def remove_left_vertex(self, u: Vertex) -> None:
         """Remove ``u`` from the left side together with its incident edges."""
@@ -126,6 +131,7 @@ class BipartiteGraph:
             self._adj_right[v].discard(u)
         self._num_edges -= len(self._adj_left[u])
         del self._adj_left[u]
+        self._version += 1
 
     def remove_right_vertex(self, v: Vertex) -> None:
         """Remove ``v`` from the right side together with its incident edges."""
@@ -135,6 +141,7 @@ class BipartiteGraph:
             self._adj_left[u].discard(v)
         self._num_edges -= len(self._adj_right[v])
         del self._adj_right[v]
+        self._version += 1
 
     def remove_vertices(
         self,
@@ -189,6 +196,15 @@ class BipartiteGraph:
     def num_edges(self) -> int:
         """Number of edges ``|E|``."""
         return self._num_edges
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every vertex or edge added or removed.
+
+        Caches that key a derived artifact on the graph *object* compare
+        it to tell an unchanged graph from one mutated in place.
+        """
+        return self._version
 
     @property
     def density(self) -> float:

@@ -292,17 +292,26 @@ def create_shared_memory(size: int):
 def attach_shared_memory(name: str):
     """Attach to an existing segment by name, without adopting ownership.
 
-    The attaching side must *not* register the segment with the
-    ``multiprocessing`` resource tracker: the creator owns unlinking, and
-    a tracker entry in a pool worker would tear the segment down when
-    that worker exits (the well-known ``SharedMemory`` attach side
-    effect, fixed upstream only in 3.13's ``track=False``).  The
-    unregister is best-effort — on platforms without the tracker the
-    attach alone is already correct.
+    The creator owns unlinking, but before 3.13's ``track=False`` every
+    ``SharedMemory`` attach registers the name with the
+    ``multiprocessing`` resource tracker.  A process with a tracker of
+    its own would then have the segment unlinked when it exits (the
+    well-known attach side effect), so such an attacher drops the
+    registration again.  A ``multiprocessing`` child — a pool worker —
+    shares its parent's tracker, where the creator registered the name
+    already: the attach's registration is a no-op there, and dropping it
+    would remove the creator's entry instead; two workers attaching at
+    once would unregister it twice, which the tracker reports as a
+    ``KeyError``.  Children therefore keep it.  The unregister is
+    best-effort — on platforms without the tracker the attach alone is
+    already correct.
     """
+    import multiprocessing
     from multiprocessing import shared_memory
 
     segment = shared_memory.SharedMemory(name=name)
+    if multiprocessing.parent_process() is not None:
+        return segment
     try:  # pragma: no cover - tracker internals differ per platform
         from multiprocessing import resource_tracker
 

@@ -23,10 +23,11 @@ bundle:
 
 All flat arrays live in the typed buffers of :mod:`repro.graph.buffers`,
 which is what makes a bundle *shippable*: :meth:`PreparedGraph.to_shm`
-publishes the CSR arrays, the ``N_{<=2}`` arrays and a pickled copy of
-the source graph into one :mod:`multiprocessing.shared_memory` segment,
-and :meth:`PreparedGraph.from_shm` attaches in another process and
-rebuilds the bundle with **zero-copy** views over the segment (under the
+publishes the CSR arrays, the ``N_{<=2}`` arrays (when already
+memoised) and a pickled copy of the source graph into one
+:mod:`multiprocessing.shared_memory` segment, and
+:meth:`PreparedGraph.from_shm` attaches in another process and rebuilds
+the bundle with **zero-copy** views over the segment (under the
 typed backends; the pure-list fallback copies once and detaches).  The
 fingerprint stored in the segment is re-verified against the attached
 graph content, so a stale or mixed-up segment name can cost an error,
@@ -106,9 +107,12 @@ _MAX_CHILDREN = 4
 
 #: Segment format tag; bump on any layout change so a stale attacher
 #: fails loudly instead of misparsing.
-_SHM_MAGIC = b"RPGB0001"
-#: ``(num_left, num_vertices, len(indices), len(le2), len(graph_blob))``.
+_SHM_MAGIC = b"RPGB0002"
+#: ``(num_left, num_vertices, len(indices), len(le2), len(graph_blob))``;
+#: ``len(le2)`` is :data:`_SHM_NO_LE2` when the ``N_{<=2}`` regions are
+#: not in the segment.
 _SHM_COUNTS = struct.Struct("<5q")
+_SHM_NO_LE2 = -1
 _SHM_FINGERPRINT_LEN = 32
 _SHM_HEADER_LEN = len(_SHM_MAGIC) + _SHM_FINGERPRINT_LEN + _SHM_COUNTS.size
 
@@ -200,6 +204,7 @@ class PreparedGraph:
 
     __slots__ = (
         "graph",
+        "graph_version",
         "csr",
         "labels",
         "_fingerprint",
@@ -213,6 +218,10 @@ class PreparedGraph:
 
     def __init__(self, graph: BipartiteGraph, csr: CSRBipartite) -> None:
         self.graph = graph
+        #: :attr:`BipartiteGraph.version` of ``graph`` when the bundle was
+        #: built: lets a cache tell the same unmutated graph object apart
+        #: without re-hashing its content.
+        self.graph_version = graph.version
         self.csr = csr
         #: Label of every dense id (the ``(side, label)`` key minus the
         #: side marker): the id→label boundary map of the CSR subgraph
@@ -236,9 +245,18 @@ class PreparedGraph:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def prepare(cls, graph: BipartiteGraph) -> "PreparedGraph":
-        """Index ``graph`` once and return the prepared bundle."""
-        return cls(graph, CSRBipartite.from_bipartite(graph))
+    def prepare(
+        cls, graph: BipartiteGraph, *, fingerprint: Optional[str] = None
+    ) -> "PreparedGraph":
+        """Index ``graph`` once and return the prepared bundle.
+
+        ``fingerprint`` is ``graph_fingerprint(graph)`` when the caller
+        already computed it (a cache keying on it), so the bundle does
+        not hash the content a second time.
+        """
+        prepared = cls(graph, CSRBipartite.from_bipartite(graph))
+        prepared._fingerprint = fingerprint
+        return prepared
 
     # ------------------------------------------------------------------
     # memoised derived artifacts
@@ -381,20 +399,30 @@ class PreparedGraph:
         """Publish this bundle into one shared-memory segment.
 
         Segment layout: magic, the content fingerprint, the five counts,
-        then the raw int64 bytes of ``csr.indptr``, ``csr.indices``,
-        ``n_le2`` pointer and index arrays (forced now — materialising
-        them once on the owner is the point of sharing), and finally a
-        pickle of the label-keyed source graph.  The graph blob rides
-        along because workers need the label-keyed form for the solvers;
-        it is unpickled **once per attach**, not once per request, which
-        is the pickling the handoff eliminates.
+        then the raw int64 bytes of ``csr.indptr``, ``csr.indices``, the
+        ``n_le2`` pointer and index arrays, and finally a pickle of the
+        label-keyed source graph.  The ``N_{<=2}`` regions ship only when
+        this bundle already memoised them — the same rule pickling
+        follows.  They are never forced here: ``hbvMBB`` peels the
+        residual left after S1's core reduction, which the attaching
+        worker prepares itself, so an ``N_{<=2}`` of the unreduced graph
+        is usually never read; an attached bundle without them computes
+        them lazily on first use.  The graph blob rides along because
+        workers need the label-keyed form for the solvers; it is
+        unpickled **once per attach**, not once per request, which is
+        the pickling the handoff eliminates.
 
         The caller owns the returned handle's lifecycle (see
         :class:`PreparedGraphShm`); on a partially written segment the
         segment is destroyed before the error propagates.
         """
         csr = self.csr
-        le2_ptr, le2 = self.n_le2
+        le2_regions: List[bytes] = []
+        le2_count = _SHM_NO_LE2
+        if self._le2 is not None:
+            le2_ptr, le2 = self._le2
+            le2_regions = [buffer_to_bytes(le2_ptr), buffer_to_bytes(le2)]
+            le2_count = len(le2)
         blob = pickle.dumps(self.graph, protocol=pickle.HIGHEST_PROTOCOL)
         fingerprint = self.fingerprint.encode("ascii")
         if len(fingerprint) != _SHM_FINGERPRINT_LEN:  # pragma: no cover
@@ -408,13 +436,12 @@ class PreparedGraph:
                 csr.num_left,
                 csr.num_vertices,
                 len(csr.indices),
-                len(le2),
+                le2_count,
                 len(blob),
             ),
             buffer_to_bytes(csr.indptr),
             buffer_to_bytes(csr.indices),
-            buffer_to_bytes(le2_ptr),
-            buffer_to_bytes(le2),
+            *le2_regions,
             blob,
         ]
         nbytes = sum(len(chunk) for chunk in chunks)
@@ -442,11 +469,12 @@ class PreparedGraph:
     ) -> "PreparedGraph":
         """Attach to a published segment and rebuild the bundle.
 
-        Under the typed backends the CSR and ``N_{<=2}`` buffers are
-        **views over the segment** — no per-element copy, and the
-        attached segment stays referenced by the bundle for as long as
-        the bundle lives.  The pure-list backend copies the arrays once
-        and detaches immediately.
+        Under the typed backends the CSR and (when shipped) ``N_{<=2}``
+        buffers are **views over the segment** — no per-element copy,
+        and the attached segment stays referenced by the bundle for as
+        long as the bundle lives.  A segment without ``N_{<=2}`` leaves
+        it to be computed lazily on first use.  The pure-list backend
+        copies the arrays once and detaches immediately.
 
         ``expected_fingerprint`` (the value the engine ships alongside
         the segment name) must match the fingerprint stored in the
@@ -498,14 +526,17 @@ class PreparedGraph:
 
                 def int_region(count: int) -> IntBuffer:
                     nonlocal offset
+                    if count < 0:
+                        raise ValueError(f"negative region length {count}")
                     region = buf[offset : offset + count * 8]
                     offset += count * 8
                     return ints_from_buffer(region, backend)
 
                 indptr = int_region(n + 1)
                 indices = int_region(len_indices)
-                le2_ptr = int_region(n + 1)
-                le2 = int_region(len_le2)
+                le2_regions = None
+                if len_le2 != _SHM_NO_LE2:
+                    le2_regions = (int_region(n + 1), int_region(len_le2))
                 graph = pickle.loads(bytes(buf[offset : offset + blob_len]))
             except InvalidParameterError:
                 raise
@@ -539,10 +570,11 @@ class PreparedGraph:
                 )
             csr = CSRBipartite(keys, indptr, indices, num_left, backend=backend)
             prepared = cls(graph, csr)
-            prepared._le2 = (
-                freeze_buffer(le2_ptr, backend),
-                freeze_buffer(le2, backend),
-            )
+            if le2_regions is not None:
+                prepared._le2 = (
+                    freeze_buffer(le2_regions[0], backend),
+                    freeze_buffer(le2_regions[1], backend),
+                )
             prepared._fingerprint = fingerprint
             if isinstance(indptr, list):
                 # List backend: everything was copied out; detach now.

@@ -274,3 +274,95 @@ class TestSolveMany:
         reports = MBBEngine().solve_many(requests)
         assert not reports[0].optimal
         assert reports[1].optimal
+
+
+class TestBatchGraphMemo:
+    """``solve_many`` does each distinct graph's parent-side work once."""
+
+    def test_one_spec_materialises_and_fingerprints_once(self, monkeypatch):
+        import repro.api.engine as engine_module
+        import repro.graph.prepared as prepared_module
+        from repro.api import PreparedGraphCache
+        from repro.graph.prepared import PreparedGraph
+
+        calls = {"materialise": 0, "fingerprint": 0, "to_shm": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            GraphSpec, "materialise", counting("materialise", GraphSpec.materialise)
+        )
+        fingerprint = counting("fingerprint", prepared_module.graph_fingerprint)
+        monkeypatch.setattr(engine_module, "graph_fingerprint", fingerprint)
+        monkeypatch.setattr(prepared_module, "graph_fingerprint", fingerprint)
+        monkeypatch.setattr(
+            PreparedGraph, "to_shm", counting("to_shm", PreparedGraph.to_shm)
+        )
+        # No segment of an earlier test may stand in for this export.
+        MBBEngine().shutdown()
+        spec = GraphSpec.power_law(80, 80, 3.0, seed=1301)
+        requests = [
+            SolveRequest(graph=spec, backend=backend, kernel=kernel, tag=f"v{i}")
+            for i, (backend, kernel) in enumerate(
+                [("sparse", "bits"), ("sparse", "sets"), ("auto", "bits"), ("auto", "sets")]
+            )
+        ]
+        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
+        try:
+            reports = engine.solve_many(requests)
+            stats = engine.prepared_cache.stats()
+        finally:
+            engine.shutdown()
+        assert [report.status for report in reports] == ["ok"] * 4
+        assert [report.backend for report in reports] == ["sparse"] * 4
+        assert len({report.side_size for report in reports}) == 1
+        assert calls == {"materialise": 1, "fingerprint": 1, "to_shm": 1}
+        assert stats["misses"] == 1 and stats["handoff_degradations"] == 0
+        for report in reports:
+            assert report.stats["handoff_fallbacks"] == 0
+            assert report.stats["prepared_cache_hits"] == 1
+
+    def test_segment_released_mid_batch_is_republished(self):
+        from collections import OrderedDict
+
+        from repro.api import PreparedGraphCache
+        from repro.api.engine import _PREPARED_EXPORTS
+        from repro.graph.buffers import attach_shared_memory
+
+        engine = MBBEngine(prepared_cache=PreparedGraphCache())
+        request = SolveRequest(
+            graph=GraphSpec.power_law(80, 80, 3.0, seed=1302), backend="sparse"
+        )
+        graphs = OrderedDict()
+        try:
+            first = engine._shm_handle_for(request, graphs)
+            _PREPARED_EXPORTS.release(first.fingerprint)
+            second = engine._shm_handle_for(request, graphs)
+            assert len(graphs) == 1
+            assert second.fingerprint == first.fingerprint
+            assert second.name != first.name
+            attach_shared_memory(second.name).close()
+        finally:
+            engine.shutdown()
+
+    def test_memo_is_capped_at_the_cache_capacity(self):
+        from collections import OrderedDict
+
+        from repro.api import PreparedGraphCache
+
+        engine = MBBEngine(prepared_cache=PreparedGraphCache(capacity=2))
+        graphs = OrderedDict()
+        specs = [GraphSpec.power_law(80, 80, 3.0, seed=s) for s in (1, 2, 3)]
+        try:
+            for spec in specs:
+                engine._shm_handle_for(
+                    SolveRequest(graph=spec, backend="sparse"), graphs
+                )
+        finally:
+            engine.shutdown()
+        assert list(graphs) == specs[1:]

@@ -105,6 +105,24 @@ class TestEdges:
         graph = BipartiteGraph(edges=[(2, "b"), (1, "a"), (2, "a")])
         assert graph.to_edge_list() == sorted(graph.to_edge_list(), key=lambda e: (repr(e[0]), repr(e[1])))
 
+    def test_version_counts_every_mutation_and_no_no_op(self):
+        graph = BipartiteGraph(edges=[(1, "a")])
+        versions = [graph.version]
+        graph.add_edge(1, "a")  # already present: content unchanged
+        graph.add_left_vertex(1, exist_ok=True)
+        assert graph.version == versions[-1]
+        for mutate in (
+            lambda: graph.add_edge(1, "b"),
+            lambda: graph.add_left_vertex(2),
+            lambda: graph.add_right_vertex("c"),
+            lambda: graph.remove_edge(1, "b"),
+            lambda: graph.remove_left_vertex(2),
+            lambda: graph.remove_right_vertex("c"),
+        ):
+            mutate()
+            assert graph.version > versions[-1]
+            versions.append(graph.version)
+
 
 class TestVertexRemoval:
     def test_remove_left_vertex_drops_incident_edges(self, k33):

@@ -241,6 +241,76 @@ class TestBackendEquivalence:
                 handle.destroy()
 
 
+class TestLazyN2Segment:
+    """Segments exported before ``N<=2`` was memoised leave it out."""
+
+    def test_attach_without_n_le2_matches_in_process_pipeline(self):
+        for graph in PROPERTY_GRAPHS:
+            set_default_backend(BACKEND_LIST)
+            reference = _flat_signature(graph)
+            producer = PreparedGraph.prepare(graph)
+            handle = producer.to_shm()
+            try:
+                assert producer._le2 is None  # noqa: SLF001 - export forced nothing
+                for backend in available_backends():
+                    set_default_backend(backend)
+                    attached = PreparedGraph.from_shm(
+                        handle.name, handle.fingerprint, backend=backend
+                    )
+                    assert attached._le2 is None  # noqa: SLF001
+                    le2_ptr, le2 = attached.n_le2
+                    producer_ptr, producer_le2 = producer.n_le2
+                    assert buffer_to_bytes(le2_ptr) == buffer_to_bytes(producer_ptr)
+                    assert buffer_to_bytes(le2) == buffer_to_bytes(producer_le2)
+                    assert buffer_to_bytes(le2_ptr) == reference["le2_ptr"]
+                    assert buffer_to_bytes(le2) == reference["le2"]
+                    numbers, order = bicore_decomposition(
+                        attached.graph, prepared=attached
+                    )
+                    assert (numbers, order) == (
+                        reference["numbers"],
+                        reference["order"],
+                    )
+                    subgraphs = [
+                        (s.center, s.position, s.left_members, s.right_members)
+                        for s in iter_vertex_centred_subgraphs_csr(
+                            attached,
+                            attached.search_order(ORDER_BIDEGENERACY),
+                        )
+                    ]
+                    assert subgraphs == reference["subgraphs"]
+                    assert buffer_to_bytes(attached.csr.indptr) == reference["indptr"]
+                    assert buffer_to_bytes(attached.csr.indices) == reference["indices"]
+            finally:
+                handle.destroy()
+
+    def test_lazy_segment_is_smaller_than_the_forced_one(self):
+        graph = random_power_law_bipartite(40, 40, 120, exponent=2.2, seed=7)
+        lazy = PreparedGraph.prepare(graph).to_shm()
+        forced_bundle = PreparedGraph.prepare(graph)
+        forced_bundle.n_le2
+        forced = forced_bundle.to_shm()
+        try:
+            le2_ptr, le2 = forced_bundle.n_le2
+            assert forced.nbytes - lazy.nbytes == 8 * (len(le2_ptr) + len(le2))
+        finally:
+            lazy.destroy()
+            forced.destroy()
+
+    def test_segment_with_the_previous_magic_is_rejected(self, monkeypatch):
+        import repro.graph.prepared as prepared_module
+
+        prepared = PreparedGraph.prepare(random_bipartite(6, 6, 0.5, seed=3))
+        monkeypatch.setattr(prepared_module, "_SHM_MAGIC", b"RPGB0001")
+        stale = prepared.to_shm()
+        monkeypatch.undo()
+        try:
+            with pytest.raises(InvalidParameterError, match="bad magic"):
+                PreparedGraph.from_shm(stale.name, stale.fingerprint)
+        finally:
+            stale.destroy()
+
+
 class TestShmRoundTrip:
     def test_round_trip_identity_and_verification(self):
         graph = mixed_label_graph(seed=2)

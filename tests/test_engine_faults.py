@@ -490,6 +490,58 @@ class TestHandoffFaults:
         assert all(r.status == STATUS_OK for r in reports)
         assert stats["handoff_degradations"] >= 1
 
+    def _shipped_by_segment(self, monkeypatch):
+        """Record, per request tag, whether it was submitted by segment name."""
+        shipped = {}
+        real = MBBEngine._shm_handle_for
+
+        def spy(engine, request, *args, **kwargs):
+            handle = real(engine, request, *args, **kwargs)
+            shipped[request.tag] = handle is not None
+            return handle
+
+        monkeypatch.setattr(MBBEngine, "_shm_handle_for", spy)
+        return shipped
+
+    def test_export_fault_degrades_exactly_its_request(self, monkeypatch):
+        # Four requests on one spec share one memoised materialisation,
+        # but the export fault point still runs per request: the fault
+        # keyed to g1 degrades g1 alone.
+        shipped = self._shipped_by_segment(monkeypatch)
+        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
+        try:
+            with FaultPlan.of(
+                FaultSpec(point="shm.export", action=ACTION_RAISE, match="g1", times=99)
+            ):
+                reports = engine.solve_many(self._prepared_requests(4))
+            stats = engine.prepared_cache.stats()
+        finally:
+            engine.shutdown()
+        assert all(r.status == STATUS_OK for r in reports)
+        assert len({r.side_size for r in reports}) == 1
+        assert stats["handoff_degradations"] == 1
+        assert shipped == {"g0": True, "g1": False, "g2": True, "g3": True}
+
+    def test_unmaterialisable_spec_degrades_every_request_naming_it(
+        self, monkeypatch
+    ):
+        shipped = self._shipped_by_segment(monkeypatch)
+        broken = GraphSpec(kind="power_law", n_left=10)  # no avg_degree
+        requests = self._prepared_requests(2) + [
+            SolveRequest(graph=broken, backend="sparse", tag=f"bad{i}")
+            for i in range(2)
+        ]
+        engine = MBBEngine(prepared_cache=PreparedGraphCache(), max_workers=2)
+        try:
+            reports = engine.solve_many(requests)
+            stats = engine.prepared_cache.stats()
+        finally:
+            engine.shutdown()
+        assert [r.status for r in reports] == [STATUS_OK, STATUS_OK] + [STATUS_ERROR] * 2
+        assert all(r.error.kind == "invalid_parameter" for r in reports[2:])
+        assert stats["handoff_degradations"] == 2
+        assert shipped == {"g0": True, "g1": True, "bad0": False, "bad1": False}
+
     def test_unexpected_export_failure_warns_and_degrades(self):
         engine = MBBEngine(prepared_cache=PreparedGraphCache())
         request = self._prepared_requests(1)[0]

@@ -357,6 +357,38 @@ class TestPreparedGraphCache:
         with pytest.raises(InvalidParameterError):
             PreparedGraphCache(capacity=0)
 
+    def test_same_graph_object_hits_without_refingerprinting(self, monkeypatch):
+        import repro.api.engine as engine_module
+        import repro.graph.prepared as prepared_module
+
+        cache = PreparedGraphCache()
+        graph = random_bipartite(8, 8, 0.5, seed=1)
+        first, _ = cache.get(graph)
+
+        def no_hashing(graph):
+            raise AssertionError("content re-fingerprinted")
+
+        monkeypatch.setattr(engine_module, "graph_fingerprint", no_hashing)
+        monkeypatch.setattr(prepared_module, "graph_fingerprint", no_hashing)
+        again, hit = cache.get(graph)
+        assert hit and again is first
+        assert cache.hits == 1 and cache.misses == 1
+        # The miss handed its fingerprint to the bundle: no second hash.
+        assert first.fingerprint == graph_fingerprint(graph.copy())
+
+    def test_graph_mutated_in_place_is_not_an_identity_hit(self):
+        cache = PreparedGraphCache()
+        graph = random_bipartite(8, 8, 0.5, seed=1)
+        first, _ = cache.get(graph)
+        u = next(iter(graph.left_vertices()))
+        v = next(iter(graph.neighbors_left(u)))
+        graph.remove_edge(u, v)
+        graph.add_edge(u, "fresh")
+        second, hit = cache.get(graph)
+        assert not hit and second is not first
+        assert second.csr.num_vertices == first.csr.num_vertices + 1
+        assert second.fingerprint == graph_fingerprint(graph)
+
 
 class TestEngineCacheIntegration:
     def _request(self, seed=3):
