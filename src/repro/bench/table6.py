@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import format_table, run_backend, timed
 from repro.cores.bicore import IMPL_HEAP, bidegeneracy_order
-from repro.cores.core import degeneracy_order
+from repro.cores.orders import ORDER_DEGENERACY, search_order
 from repro.mbb.heuristics import h_mbb
 from repro.mbb.sparse import VARIANT_CONFIGS, variant
 from repro.workloads.datasets import DATASETS, TOUGH_DATASETS
@@ -56,7 +56,7 @@ def run_dataset_breakdown(
 
     _, h_time = timed(h_mbb, graph)
     row["hMBB"] = h_time
-    _, deg_time = timed(degeneracy_order, graph)
+    _, deg_time = timed(search_order, graph, ORDER_DEGENERACY)
     row["degOrder"] = deg_time
     _, bdeg_time = timed(bidegeneracy_order, graph)
     row["bdegOrder"] = bdeg_time

@@ -3,7 +3,10 @@
 This package implements the sparsity machinery of the paper:
 
 * classical core numbers / degeneracy (used by the reductions of Lemma 4,
-  the early-termination test of Lemma 5 and the ``bd5`` ablation);
+  the early-termination test of Lemma 5 and the ``bd5`` ablation): the
+  flat peel over a CSR snapshot (:mod:`repro.cores.flat`) on the solve
+  path, and the label-keyed peel (:mod:`repro.cores.core`) as the
+  reference the tests check it against;
 * 2-hop neighbourhoods ``N_{<=2}`` (Definitions 1-2);
 * bicore numbers, bidegeneracy ``δ̈`` and the bidegeneracy order
   (Definitions 3-5, Algorithm 7, Lemma 10) — the paper's novel sparsity
@@ -22,6 +25,7 @@ from repro.cores.core import (
     degeneracy_order,
     k_core,
 )
+from repro.cores.flat import flat_core_decomposition
 from repro.cores.two_hop import (
     n2_neighbors,
     n_le2_flat,
@@ -51,6 +55,7 @@ __all__ = [
     "degeneracy",
     "degeneracy_order",
     "k_core",
+    "flat_core_decomposition",
     "n2_neighbors",
     "n_le2_flat",
     "n_le2_neighbors",

@@ -1,10 +1,19 @@
-"""Classical core decomposition on bipartite graphs.
+"""Classical core decomposition on bipartite graphs: the label-keyed reference.
 
 The decomposition treats the bipartite graph as an ordinary graph: the core
 number of a vertex is the largest ``k`` such that the vertex survives in a
 subgraph of minimum degree ``k``.  The implementation is the linear-time
 bucket-peeling algorithm of Batagelj and Zaveršnik, which the paper relies
 on for its Lemma 4/5 reductions and its degeneracy-order ablation (``bd5``).
+
+This module peels the label-keyed adjacency sets directly.  The solve
+path no longer does: S1 and the ``bd5`` order run the flat peel of
+:mod:`repro.cores.flat` over a prepared CSR snapshot.  This peel is the
+reference oracle the tests check the flat one against; it also serves the
+sets kernel's bridging stage and the baselines.  Its buckets fill in dict
+and set iteration order, so :func:`degeneracy_order` breaks ties by hash
+order, which changes with ``PYTHONHASHSEED`` for string labels; any order
+it returns is still a valid smallest-last order.
 
 Vertices are addressed as ``(side, label)`` pairs throughout this module so
 left/right label collisions cannot occur.

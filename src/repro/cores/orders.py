@@ -18,8 +18,9 @@ from typing import List, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
+from repro.graph.csr import CSRBipartite
 from repro.cores.bicore import bidegeneracy_order
-from repro.cores.core import degeneracy_order
+from repro.cores.flat import flat_core_decomposition
 
 VertexKey = Tuple[str, Vertex]
 
@@ -84,7 +85,12 @@ def search_order(
     if order == ORDER_DEGREE:
         return degree_order(graph)
     if order == ORDER_DEGENERACY:
-        return degeneracy_order(graph)
+        # The flat peel's processing order: content-determined, unlike the
+        # label-keyed reference ``repro.cores.core.degeneracy_order``,
+        # whose ties follow dict and set iteration order.
+        csr = CSRBipartite.from_bipartite(graph)
+        keys = csr.keys
+        return [keys[i] for i in flat_core_decomposition(csr)[1]]
     if order == ORDER_BIDEGENERACY:
         return bidegeneracy_order(graph)
     raise InvalidParameterError(

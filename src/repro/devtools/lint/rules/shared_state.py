@@ -28,7 +28,8 @@ on object or array alike.
 
 The *defining* modules are exempt: constructors, factories, the
 flat-buffer backends and the internal memoisation caches
-(``_orders``/``_views``/``_children``) live there by design, and
+(``_orders``/``_views``/``_core_numbers``/``_residuals``) live there by
+design, and
 confining them is exactly what makes the contract checkable everywhere
 else.
 
@@ -156,9 +157,9 @@ class SharedStateRule(ProjectRule):
         "def tweak(prepared: PreparedGraph) -> None:\n"
         "    prepared.csr.labels[0] = relabel(prepared.csr.labels[0])\n"
         "\n"
-        "# good: derive a new residual snapshot instead\n"
+        "# good: prepare a new snapshot of the changed graph instead\n"
         "def tweak(prepared: PreparedGraph) -> PreparedGraph:\n"
-        "    return prepared.for_subgraph(relabelled_members)"
+        "    return PreparedGraph.prepare(relabelled(prepared.graph))"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
@@ -337,7 +338,8 @@ class SharedStateRule(ProjectRule):
                         target,
                         f"element store into {_receiver_text(target.value)}[...] "
                         f"mutates shared prepared/CSR state after construction; "
-                        f"derive a new snapshot (e.g. for_subgraph) instead",
+                        "prepare a new snapshot (PreparedGraph.prepare, or "
+                        "core_residual for a k-core) instead",
                     )
 
         for node in ast.walk(info.ctx.tree):

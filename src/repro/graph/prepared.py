@@ -17,9 +17,10 @@ bundle:
   re-peels;
 * the position-space adjacency views (:meth:`PreparedGraph.order_view`)
   the CSR centred-subgraph generator walks;
-* prepared snapshots of core-reduction residuals
-  (:meth:`PreparedGraph.for_subgraph`), so S1's Lemma 4 reduction only
-  triggers a re-index when it actually shrinks the graph.
+* the core numbers and degeneracy peel order of one flat bucket peel
+  (:meth:`PreparedGraph.core_numbers`), which is all S1 reads;
+* the bundles of S1's Lemma 4 residuals (:meth:`PreparedGraph.core_residual`),
+  derived from this bundle's arrays and memoised by ``k``.
 
 All flat arrays live in the typed buffers of :mod:`repro.graph.buffers`,
 which is what makes a bundle *shippable*: :meth:`PreparedGraph.to_shm`
@@ -59,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
@@ -66,6 +68,7 @@ from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.buffers import (
     IntBuffer,
     SegmentKeepalive,
+    as_int_list,
     attach_shared_memory,
     buffer_to_bytes,
     buffer_view,
@@ -98,12 +101,11 @@ def ensure_prepared_for(
             "one passed alongside it"
         )
 
-#: How many core-reduction residual snapshots one bundle memoises.  The
-#: residual chain of a deterministic solve has very few distinct sizes
-#: (the heuristic finds the same incumbent every time), so a handful of
-#: slots amortises repeated solves without letting an adversarial caller
-#: grow the bundle without bound.
-_MAX_CHILDREN = 4
+#: How many core-reduction residual bundles one bundle memoises.  A
+#: deterministic solve asks for at most two ``k`` values (the heuristic
+#: finds the same incumbent every time), so a handful of slots amortises
+#: repeated solves without letting a caller grow the bundle without bound.
+_MAX_RESIDUALS = 4
 
 #: Segment format tag; bump on any layout change so a stale attacher
 #: fails loudly instead of misparsing.
@@ -212,7 +214,9 @@ class PreparedGraph:
         "_orders",
         "_views",
         "_bicore",
-        "_children",
+        "_core_numbers",
+        "_core_order",
+        "_residuals",
         "_shm",
     )
 
@@ -234,7 +238,9 @@ class PreparedGraph:
         self._bicore: Optional[
             Tuple[Dict[VertexKey, int], List[VertexKey]]
         ] = None
-        self._children: Dict[Tuple[int, int, int], "PreparedGraph"] = {}
+        self._core_numbers: Optional[List[int]] = None
+        self._core_order: Optional[List[int]] = None
+        self._residuals: Dict[int, "PreparedGraph"] = {}
         #: The attached shared-memory segment keeping this bundle's
         #: zero-copy buffers alive, when it came from :meth:`from_shm`.
         #: Declared *after* every buffer-holding slot so refcount
@@ -296,15 +302,34 @@ class PreparedGraph:
             self._bicore = flat_bicore_decomposition(self)
         return self._bicore
 
+    def core_numbers(self) -> List[int]:
+        """Core number of every dense id, from one flat peel (cached).
+
+        The one core decomposition S1 runs per graph
+        (:func:`repro.cores.flat.flat_core_decomposition`); Lemma 5's
+        degeneracy is its maximum and each Lemma 4 residual a threshold
+        on it.  A residual bundle from :meth:`core_residual` inherits its
+        numbers from its parent instead of peeling.  The returned list is
+        the memoised object: treat it as immutable.
+        """
+        if self._core_numbers is None:
+            self._peel_cores()
+        return self._core_numbers
+
+    def _peel_cores(self) -> None:
+        from repro.cores.flat import flat_core_decomposition
+
+        self._core_numbers, self._core_order = flat_core_decomposition(self.csr)
+
     def search_order(self, order: str) -> List[VertexKey]:
         """The requested total search order (memoised per order name).
 
         Accepts the same names as :func:`repro.cores.orders.search_order`
         and produces identical orders: the degree order falls out of the
         CSR id order directly (ids *are* the ``(side, repr(label))``
-        tie-break), the degeneracy order delegates to the label-keyed
-        peel, and the bidegeneracy order reuses
-        :meth:`bicore_decomposition`.
+        tie-break), the degeneracy order is the processing order of the
+        flat core peel behind :meth:`core_numbers`, and the bidegeneracy
+        order reuses :meth:`bicore_decomposition`.
 
         The returned list is the memoised object — treat it as immutable
         (mutating it would corrupt every later solve of this graph); its
@@ -326,18 +351,21 @@ class PreparedGraph:
             search_order,
         )
 
+        keys = self.csr.keys
+
         if order == ORDER_DEGREE:
             # Dense ids are assigned left side first, ``repr``-sorted per
             # side, so sorting ids by ``(-degree, id)`` is exactly the
             # label-keyed ``(-degree, side, repr(label))`` key.
             csr = self.csr
             ids = sorted(range(csr.num_vertices), key=lambda i: (-csr.degree(i), i))
-            keys = csr.keys
             return [keys[i] for i in ids]
         if order == ORDER_BIDEGENERACY:
             return list(self.bicore_decomposition()[1])
         if order == ORDER_DEGENERACY:
-            return search_order(self.graph, order)
+            if self._core_order is None:
+                self._peel_cores()
+            return [keys[i] for i in self._core_order]
         # Unknown names fall through to the canonical validator so the
         # error message stays in one place.
         return search_order(self.graph, order)
@@ -363,33 +391,78 @@ class PreparedGraph:
     # ------------------------------------------------------------------
     # residual snapshots
     # ------------------------------------------------------------------
-    def for_subgraph(self, residual: BipartiteGraph) -> "PreparedGraph":
-        """A prepared snapshot for a reduction residual of this graph.
+    def core_residual(self, k: int) -> "PreparedGraph":
+        """The bundle of this graph's ``k``-core: Lemma 4's residual.
 
-        Returns ``self`` when ``residual`` has this graph's exact shape
-        (the Lemma 4 reduction removed nothing — induced subgraphs of one
-        graph are determined by their vertex sets, so equal counts mean
-        equal content).  Otherwise the residual's own snapshot is
-        prepared and memoised, keyed by its shape: the ``k``-cores of one
-        graph are nested, so within one reduction chain the shape
-        identifies the residual — and a full equality check guards the
-        lookup anyway, because this bundle may outlive a single solve in
-        the engine cache.
+        Returns ``self`` when every vertex has core number ``>= k``.
+        Otherwise the child bundle is derived from this bundle's arrays
+        rather than re-indexed from labels: the surviving ids keep their
+        parent order and are renumbered monotonically, so the child's
+        keys and rows come out in the canonical ``(side, repr(label))``
+        order with every row still sorted — no ``repr``, no sort.  Its
+        graph is the induced subgraph :func:`repro.cores.core.k_core`
+        builds, and its core numbers are the parent's restricted to the
+        survivors (core numbers inside the ``k``-core equal those in the
+        whole graph for every vertex of core ``>= k``, because the
+        ``j``-cores are nested), so the child never peels for them.
+
+        Memoised by ``k``: every residual is a ``k``-core of this one
+        graph, so ``k`` identifies it exactly and no equality check is
+        needed.
         """
-        shape = (residual.num_left, residual.num_right, residual.num_edges)
-        if shape == (
-            self.graph.num_left,
-            self.graph.num_right,
-            self.graph.num_edges,
-        ):
+        core = self.core_numbers()
+        if k <= min(core, default=k):
             return self
-        child = self._children.get(shape)
-        if child is not None and child.graph == residual:
-            return child
-        child = PreparedGraph.prepare(residual)
-        if len(self._children) >= _MAX_CHILDREN:
-            self._children.pop(next(iter(self._children)))
-        self._children[shape] = child
+        child = self._residuals.get(k)
+        if child is None:
+            child = self._derive_residual(
+                [vertex for vertex, value in enumerate(core) if value >= k]
+            )
+            if len(self._residuals) >= _MAX_RESIDUALS:
+                self._residuals.pop(next(iter(self._residuals)))
+            self._residuals[k] = child
+        return child
+
+    def _derive_residual(self, alive: List[int]) -> "PreparedGraph":
+        """Child bundle induced by the ascending surviving ids ``alive``."""
+        csr = self.csr
+        indptr = as_int_list(csr.indptr)
+        indices = as_int_list(csr.indices)
+        new_id = [-1] * csr.num_vertices
+        for child_id, vertex in enumerate(alive):
+            new_id[vertex] = child_id
+        child_indptr = [0] * (len(alive) + 1)
+        child_indices: List[int] = []
+        for child_id, vertex in enumerate(alive):
+            child_indices.extend(
+                [
+                    mapped
+                    for mapped in map(
+                        new_id.__getitem__, indices[indptr[vertex] : indptr[vertex + 1]]
+                    )
+                    if mapped >= 0
+                ]
+            )
+            child_indptr[child_id + 1] = len(child_indices)
+        num_left = bisect_left(alive, csr.num_left)
+        keys = csr.keys
+        child_csr = CSRBipartite(
+            [keys[vertex] for vertex in alive], child_indptr, child_indices, num_left
+        )
+        # The same vertex sets, built in the same graph order, that
+        # ``k_core`` hands to ``induced_subgraph``: the residual graph is
+        # the object the label-keyed reduction would have produced.
+        labels = self.labels
+        graph = self.graph
+        alive_left = {labels[vertex] for vertex in alive[:num_left]}
+        alive_right = {labels[vertex] for vertex in alive[num_left:]}
+        residual = graph.induced_subgraph(
+            {u for u in graph.left_vertices() if u in alive_left},
+            {v for v in graph.right_vertices() if v in alive_right},
+        )
+        child = PreparedGraph(residual, child_csr)
+        core = self._core_numbers
+        child._core_numbers = [core[vertex] for vertex in alive]
         return child
 
     # ------------------------------------------------------------------
@@ -592,7 +665,8 @@ class PreparedGraph:
     # ------------------------------------------------------------------
     # pickling — the handoff *baseline*.  Ships the graph plus the CSR
     # and N_<=2 arrays (converting any segment views to owned arrays);
-    # memoised orders/views/residuals are derived data and rebuild lazily.
+    # memoised orders/views/cores/residuals are derived data and rebuild
+    # lazily.
     # ------------------------------------------------------------------
     def __getstate__(self):
         le2 = self._le2

@@ -22,14 +22,16 @@ extensions.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.bipartite import LEFT, RIGHT, BipartiteGraph, Vertex
 from repro.graph.bitset import IndexedBitGraph, core_numbers_masks, iter_bits
-from repro.cores.core import core_numbers, degeneracy
+from repro.graph.buffers import buffer_view
+from repro.graph.prepared import PreparedGraph, ensure_prepared_for
+from repro.cores.core import core_numbers
 from repro.mbb.context import SearchAborted, SearchContext
-from repro.mbb.reductions import core_reduce
 from repro.mbb.result import Biclique
 
 VertexKey = Tuple[str, Vertex]
@@ -186,26 +188,28 @@ def _top_vertices(
     return keys[:top_r]
 
 
-def degree_heuristic(
-    graph: BipartiteGraph,
-    *,
-    top_r: int = 5,
-    context: Optional[SearchContext] = None,
-) -> Biclique:
-    """Maximum-degree seeded greedy balanced biclique (first half of hMBB).
+def _top_ids(prepared: PreparedGraph, score: Sequence[int], top_r: int) -> List[VertexKey]:
+    """The keys of the ``top_r`` dense ids ranked by descending ``score``.
 
-    When ``context`` is given, :meth:`~repro.mbb.context.SearchContext.
-    checkpoint` is polled before every seed extension so engine deadlines
-    and cancellation hooks cut the heuristic stage short, and every seed's
-    result is offered to the incumbent as soon as it is found — work done
-    by completed seeds survives an abort on a later one.
+    Ties go to the smallest id.  Ids are assigned in ``(side,
+    repr(label))`` order, so this is :func:`_top_vertices`' ranking
+    without building a ``repr`` per vertex or sorting them all.
     """
+    keys = prepared.csr.keys
+    ids = heapq.nsmallest(
+        top_r, range(len(keys)), key=lambda i: (-score[i], i)
+    )
+    return [keys[i] for i in ids]
 
-    def score(side: str, label: Vertex) -> float:
-        return graph.degree_left(label) if side == LEFT else graph.degree_right(label)
 
+def _extend_seeds(
+    graph: BipartiteGraph,
+    seeds: Iterable[Tuple[str, Vertex]],
+    context: Optional[SearchContext],
+) -> Biclique:
+    """The best greedy extension over ``seeds``, offering each to ``context``."""
     best = Biclique.empty()
-    for side, label in _top_vertices(graph, score, top_r):
+    for side, label in seeds:
         if context is not None:
             context.checkpoint()
         candidate = greedy_extend(graph, side, label)
@@ -214,6 +218,34 @@ def degree_heuristic(
         if context is not None:
             context.offer_biclique(candidate)
     return best
+
+
+def degree_heuristic(
+    graph: BipartiteGraph,
+    *,
+    top_r: int = 5,
+    context: Optional[SearchContext] = None,
+    prepared: Optional[PreparedGraph] = None,
+) -> Biclique:
+    """Maximum-degree seeded greedy balanced biclique (first half of hMBB).
+
+    Seeds are the ``top_r`` vertices by ``(-degree, side, repr(label))``,
+    ranked over the dense ids of ``prepared`` (a bundle of exactly
+    ``graph``; one is prepared when omitted).
+
+    When ``context`` is given, :meth:`~repro.mbb.context.SearchContext.
+    checkpoint` is polled before every seed extension so engine deadlines
+    and cancellation hooks cut the heuristic stage short, and every seed's
+    result is offered to the incumbent as soon as it is found — work done
+    by completed seeds survives an abort on a later one.
+    """
+    if prepared is None:
+        prepared = PreparedGraph.prepare(graph)
+    else:
+        ensure_prepared_for(prepared, graph)
+    indptr = buffer_view(prepared.csr.indptr)
+    degrees = [indptr[i + 1] - indptr[i] for i in range(len(indptr) - 1)]
+    return _extend_seeds(graph, _top_ids(prepared, degrees, top_r), context)
 
 
 def core_heuristic(
@@ -222,24 +254,30 @@ def core_heuristic(
     top_r: int = 5,
     cores: Optional[Dict[VertexKey, int]] = None,
     context: Optional[SearchContext] = None,
+    prepared: Optional[PreparedGraph] = None,
 ) -> Biclique:
-    """Maximum-core-number seeded greedy balanced biclique (second half of hMBB)."""
-    if cores is None:
-        cores = core_numbers(graph)
+    """Maximum-core-number seeded greedy balanced biclique (second half of hMBB).
 
-    def score(side: str, label: Vertex) -> float:
-        return cores.get((side, label), 0)
+    Seeds are the ``top_r`` vertices by ``(-core, side, repr(label))``.
+    With ``prepared`` (a bundle of exactly ``graph``; S1 passes its
+    Lemma 4 residual) they are ranked by :meth:`PreparedGraph.core_numbers`
+    over dense ids; otherwise by the label-keyed ``cores`` (computed with
+    :func:`repro.cores.core.core_numbers` when omitted), which is how the
+    sets kernel's bridging stage calls it.
+    """
+    if prepared is not None:
+        ensure_prepared_for(prepared, graph)
+        seeds = _top_ids(prepared, prepared.core_numbers(), top_r)
+    else:
+        if cores is None:
+            cores = core_numbers(graph)
+        label_cores = cores
 
-    best = Biclique.empty()
-    for side, label in _top_vertices(graph, score, top_r):
-        if context is not None:
-            context.checkpoint()
-        candidate = greedy_extend(graph, side, label)
-        if candidate.side_size > best.side_size:
-            best = candidate
-        if context is not None:
-            context.offer_biclique(candidate)
-    return best
+        def score(side: str, label: Vertex) -> float:
+            return label_cores.get((side, label), 0)
+
+        seeds = _top_vertices(graph, score, top_r)
+    return _extend_seeds(graph, seeds, context)
 
 
 def core_heuristic_bits(
@@ -280,8 +318,15 @@ class HMBBOutcome:
     """Result of the heuristic-and-reduction stage (Algorithm 5)."""
 
     best: Biclique
-    reduced_graph: BipartiteGraph
+    #: The bundle of the residual graph left by the Lemma 4 reductions
+    #: (the input's own bundle when nothing was removed).
+    residual: PreparedGraph
     proven_optimal: bool
+
+    @property
+    def reduced_graph(self) -> BipartiteGraph:
+        """The residual graph after the core-based reductions."""
+        return self.residual.graph
 
     @property
     def exhausted(self) -> bool:
@@ -294,6 +339,7 @@ def h_mbb(
     *,
     top_r: int = 5,
     context: Optional[SearchContext] = None,
+    prepared: Optional[PreparedGraph] = None,
 ) -> HMBBOutcome:
     """Algorithm 5: heuristics, Lemma 4 reductions and Lemma 5 early exit.
 
@@ -311,52 +357,75 @@ def h_mbb(
     dead code.  With the pre-reduction comparison, S1 can terminate the
     whole search while the residual graph is still nonempty.
 
+    The whole stage reads one array: the core numbers of ``prepared`` (a
+    bundle of exactly ``graph``, prepared here when omitted), from one
+    flat peel memoised on the bundle.  Lemma 5's degeneracy is their
+    maximum; each Lemma 4 residual is :meth:`PreparedGraph.core_residual`,
+    the vertices with core number ``>= best + 1``; and the core
+    heuristic's seed ranking and its second Lemma 5 test use the same
+    numbers restricted to the residual.  That restriction is exact: the
+    ``j``-cores of a graph are nested, so for a vertex with core number
+    ``c >= k`` the ``c``-core of ``G`` lies inside the ``k``-core and the
+    vertex keeps core number ``c`` there, while no subgraph of ``G`` can
+    give it more.  Degree seeds are ranked from the bundle's ``indptr``.
+
     Budgets are enforced: every greedy seed polls ``context.checkpoint()``,
     so an engine deadline or cancellation hook stops the stage between two
     seed extensions.  On abort the incumbent found so far is returned with
     ``proven_optimal=False`` and ``context.aborted`` set — callers such as
     :func:`repro.mbb.sparse.hbv_mbb` report ``optimal=False`` from it.
     """
+    if prepared is None:
+        prepared = PreparedGraph.prepare(graph)
+    else:
+        ensure_prepared_for(prepared, graph)
     if context is None:
         context = SearchContext()
     try:
-        return _h_mbb(graph, top_r, context)
+        return _h_mbb(prepared, top_r, context)
     except SearchAborted:
-        return HMBBOutcome(context.best, graph, False)
+        return HMBBOutcome(context.best, prepared, False)
 
 
 def _h_mbb(
-    graph: BipartiteGraph, top_r: int, context: SearchContext
+    prepared: PreparedGraph, top_r: int, context: SearchContext
 ) -> HMBBOutcome:
     """Budget-unaware body of :func:`h_mbb` (checkpoints may raise)."""
     # Degree-based heuristic; Lemma 5 check on the *input* graph.
-    best = degree_heuristic(graph, top_r=top_r, context=context)
+    graph = prepared.graph
+    best = degree_heuristic(graph, top_r=top_r, context=context, prepared=prepared)
     context.offer_biclique(best)
     context.stats.heuristic_side = max(
         context.stats.heuristic_side, context.best_side
     )
-    if context.best_side > 0 and degeneracy(graph) <= context.best_side:
-        return HMBBOutcome(context.best, graph, True)
-    reduced = core_reduce(graph, context.best_side)
-    if reduced.num_vertices == 0:
+    degeneracy = max(prepared.core_numbers(), default=0)
+    if context.best_side > 0 and degeneracy <= context.best_side:
+        return HMBBOutcome(context.best, prepared, True)
+    with context.timed_stat("prepare_seconds"):
+        reduced = prepared.core_residual(context.best_side + 1)
+    if reduced.graph.num_vertices == 0:
         return HMBBOutcome(context.best, reduced, True)
 
     # Core-based heuristic on the reduced graph; Lemma 5 check against the
     # degeneracy of that (pre-second-reduction) graph, then reduce again.
     # The heuristic offers its seeds to the context as it goes, so an
     # improvement is detected by comparing side sizes, not by the offer.
-    cores = core_numbers(reduced)
     side_before = context.best_side
-    improved = core_heuristic(reduced, top_r=top_r, cores=cores, context=context)
+    improved = core_heuristic(
+        reduced.graph, top_r=top_r, context=context, prepared=reduced
+    )
     context.offer_biclique(improved)
     if context.best_side > side_before:
         context.stats.heuristic_side = max(
             context.stats.heuristic_side, context.best_side
         )
-        if max(cores.values(), default=0) <= context.best_side:
+        if max(reduced.core_numbers(), default=0) <= context.best_side:
             return HMBBOutcome(context.best, reduced, True)
-        reduced = core_reduce(reduced, context.best_side)
-        if reduced.num_vertices == 0:
+        # The k-cores are nested, so the residual's own (best + 1)-core
+        # is the input's: derive it from the input bundle.
+        with context.timed_stat("prepare_seconds"):
+            reduced = prepared.core_residual(context.best_side + 1)
+        if reduced.graph.num_vertices == 0:
             return HMBBOutcome(context.best, reduced, True)
 
     return HMBBOutcome(context.best, reduced, False)

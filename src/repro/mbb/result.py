@@ -105,9 +105,10 @@ class SearchStats:
     #: whose memoised order made the computation free.
     order_seconds: float = 0.0
     #: Wall seconds spent locating/building prepared graph snapshots
-    #: (CSR indexing plus cache lookups; the lazily derived artifacts are
-    #: charged to the stage that asks for them, e.g. the bidegeneracy
-    #: peel to :attr:`order_seconds`).  ≈ 0 on an engine cache hit.
+    #: (CSR indexing, cache lookups and deriving S1's residual bundles;
+    #: the lazily derived artifacts are charged to the stage that asks
+    #: for them, e.g. the bidegeneracy peel to :attr:`order_seconds`).
+    #: ≈ 0 on an engine cache hit.
     prepare_seconds: float = 0.0
     #: Engine prepared-graph cache hits/misses attributable to this
     #: solve (0/0 for backends that never touch the cache).

@@ -36,7 +36,6 @@ from repro.mbb.dense import (
     KERNEL_BITS,
 )
 from repro.mbb.heuristics import h_mbb
-from repro.mbb.reductions import core_reduce
 from repro.mbb.result import (
     Biclique,
     MBBResult,
@@ -155,12 +154,16 @@ def hbv_mbb(
     prepared:
         Optional :class:`~repro.graph.prepared.PreparedGraph` of exactly
         ``graph`` (what :class:`~repro.api.engine.MBBEngine` hands in
-        from its per-graph cache).  The bridging stage then reuses the
-        snapshot's memoised order and CSR arrays; a fresh snapshot is
-        prepared only when the S1 core reduction actually shrank the
-        graph (and is memoised on the bundle, so repeated solves skip
-        even that).  The time spent locating/re-preparing snapshots is
-        recorded as the ``prepare_seconds`` stage stat.
+        from its per-graph cache); one is prepared here when omitted.
+        S1 runs on its CSR: one flat core peel per graph, memoised on
+        the bundle, feeds the heuristic seeds, Lemma 5 and Lemma 4.  The
+        Lemma 4 residual is a child bundle derived from the parent's
+        arrays and memoised by ``k``
+        (:meth:`~repro.graph.prepared.PreparedGraph.core_residual`), and
+        the bridging stage reuses its memoised order and CSR arrays, so
+        a repeated solve of one bundle neither peels nor re-indexes.
+        The time spent preparing and deriving bundles is recorded as the
+        ``prepare_seconds`` stage stat.
 
     Returns
     -------
@@ -176,15 +179,23 @@ def hbv_mbb(
         )
     if initial_best is not None:
         context.offer_biclique(initial_best)
+    if prepared is None:
+        with context.timed_stat("prepare_seconds"):
+            prepared = PreparedGraph.prepare(graph)
 
     # ------------------------------------------------------------------
     # Step 1: heuristics and reduction.
     # ------------------------------------------------------------------
-    residual = graph
+    residual = prepared
     if config.use_heuristic:
-        outcome = h_mbb(graph, top_r=config.heuristic_seeds, context=context)
+        outcome = h_mbb(
+            graph,
+            top_r=config.heuristic_seeds,
+            context=context,
+            prepared=prepared,
+        )
         context.offer_biclique(outcome.best)
-        residual = outcome.reduced_graph
+        residual = outcome.residual
         if context.aborted:
             # A budget or cancellation fired between greedy seeds; the
             # incumbent is best-effort, not proven optimal.
@@ -204,29 +215,19 @@ def hbv_mbb(
                 elapsed_seconds=context.elapsed,
             )
     elif config.use_core_pruning and context.best_side > 0:
-        residual = core_reduce(graph, context.best_side)
+        # Lemma 4 under a caller-supplied incumbent: the same k-keyed
+        # residual bundle S1 would derive.
+        with context.timed_stat("prepare_seconds"):
+            residual = prepared.core_residual(context.best_side + 1)
 
     # ------------------------------------------------------------------
     # Step 2: bridge to small dense subgraphs.
     # ------------------------------------------------------------------
-    # One prepared snapshot backs the whole stage.  A caller-supplied
-    # bundle (the engine cache) is reused as long as the S1 reduction
-    # removed nothing; when it did shrink the graph, the residual's own
-    # snapshot is prepared — and memoised on the bundle, so a repeated
-    # solve of the same graph re-prepares nothing.  Either way the wall
-    # time of locating/building the snapshot is the ``prepare_seconds``
-    # stage stat.
+    # The residual's bundle backs the whole stage and every stage
+    # downstream of it (member sets, bitgraphs, verification) through its
+    # own graph object.
     total_order = None
-    if residual.num_vertices:
-        with context.timed_stat("prepare_seconds"):
-            if prepared is None:
-                prepared = PreparedGraph.prepare(residual)
-            else:
-                prepared = prepared.for_subgraph(residual)
-            # Generate from the snapshot's own graph: content-equal to the
-            # residual, and it keeps every stage downstream of S2 (member
-            # sets, bitgraphs, verification) on one consistent parent object.
-            residual = prepared.graph
+    if residual.graph.num_vertices:
         # The total search order is the stage's kernel-independent fixed
         # cost; compute it once here (memoised on the snapshot — the raw
         # memoised list is used on purpose, so the bridging stage's order
@@ -234,15 +235,15 @@ def hbv_mbb(
         # reports break the ordering overhead out of the per-subgraph
         # work (the ``bdegOrder`` column of Table 6).
         with context.timed_stat("order_seconds"):
-            total_order = prepared.search_order(config.effective_order)
+            total_order = residual.search_order(config.effective_order)
     bridge = bridge_mbb(
-        residual,
+        residual.graph,
         context,
         order=config.effective_order,
         use_core_pruning=config.use_core_pruning,
         kernel=config.kernel,
         total_order=total_order,
-        prepared=prepared,
+        prepared=residual,
     )
     if context.aborted or bridge.exhausted:
         # Either every subgraph was pruned away (exhaustion proves the
@@ -268,7 +269,7 @@ def hbv_mbb(
         branching=config.branching,
         use_core_pruning=config.use_core_pruning,
         kernel=config.kernel,
-        prepared=prepared,
+        prepared=residual,
         order_name=config.effective_order,
         parallel=config.parallel_verify_options(),
     )

@@ -117,35 +117,39 @@ class TestPreparedGraph:
                 == plain[1]
             )
 
-    def test_for_subgraph_returns_self_on_identical_shape(self):
+    def test_core_residual_returns_self_when_nothing_is_removed(self):
         graph = random_bipartite(8, 8, 0.4, seed=5)
         prepared = PreparedGraph.prepare(graph)
-        assert prepared.for_subgraph(graph.copy()) is prepared
+        low = min(prepared.core_numbers())
+        assert prepared.core_residual(low) is prepared
+        assert prepared.core_residual(0) is prepared
 
-    def test_for_subgraph_prepares_and_memoises_residuals(self):
+    def test_core_residual_derives_and_memoises_by_k(self):
         graph = random_bipartite(10, 10, 0.4, seed=6)
         prepared = PreparedGraph.prepare(graph)
         from repro.cores.core import k_core
 
         residual = k_core(graph, 2)
         assert residual.num_vertices < graph.num_vertices
-        child = prepared.for_subgraph(residual)
+        child = prepared.core_residual(2)
         assert child is not prepared
         assert child.graph == residual
-        # A content-equal residual from a later solve reuses the child.
-        assert prepared.for_subgraph(k_core(graph, 2)) is child
+        # A later solve asking for the same k reuses the child.
+        assert prepared.core_residual(2) is child
 
-    def test_for_subgraph_rejects_content_mismatch_same_shape(self):
-        # A same-shape but different-content graph must not reuse the
-        # memoised child (the equality check must fire).
-        graph = BipartiteGraph(edges=[(1, "a"), (2, "b"), (3, "c")])
+    def test_core_residual_memo_keeps_each_k_apart(self):
+        # k alone identifies a residual: distinct k-cores of one graph
+        # never share a memo slot, and each matches the label k-core.
+        from repro.cores.core import k_core
+
+        graph = random_power_law_bipartite(60, 60, 4.0, seed=3)
         prepared = PreparedGraph.prepare(graph)
-        first = BipartiteGraph(edges=[(1, "a"), (2, "b")])
-        other = BipartiteGraph(edges=[(1, "a"), (3, "c")])
-        child = prepared.for_subgraph(first)
-        mismatched = prepared.for_subgraph(other)
-        assert mismatched is not child
-        assert mismatched.graph == other
+        top = max(prepared.core_numbers())
+        for k in range(1, top + 2):
+            child = prepared.core_residual(k)
+            assert child.graph == k_core(graph, k)
+            assert prepared.core_residual(k) is child
+        assert child.graph.num_vertices == 0
 
 
 class TestFingerprint:
