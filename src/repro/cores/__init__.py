@@ -25,7 +25,6 @@ from repro.cores.core import (
     degeneracy_order,
     k_core,
 )
-from repro.cores.flat import flat_core_decomposition
 from repro.cores.two_hop import (
     n2_neighbors,
     n_le2_flat,
@@ -55,7 +54,6 @@ __all__ = [
     "degeneracy",
     "degeneracy_order",
     "k_core",
-    "flat_core_decomposition",
     "n2_neighbors",
     "n_le2_flat",
     "n_le2_neighbors",

@@ -215,7 +215,6 @@ class PreparedGraph:
         "_views",
         "_bicore",
         "_core_numbers",
-        "_core_order",
         "_residuals",
         "_shm",
     )
@@ -239,7 +238,6 @@ class PreparedGraph:
             Tuple[Dict[VertexKey, int], List[VertexKey]]
         ] = None
         self._core_numbers: Optional[List[int]] = None
-        self._core_order: Optional[List[int]] = None
         self._residuals: Dict[int, "PreparedGraph"] = {}
         #: The attached shared-memory segment keeping this bundle's
         #: zero-copy buffers alive, when it came from :meth:`from_shm`.
@@ -316,10 +314,16 @@ class PreparedGraph:
             self._peel_cores()
         return self._core_numbers
 
-    def _peel_cores(self) -> None:
+    def _peel_cores(self) -> List[int]:
+        """Run the flat peel, memoise its core numbers, return its order.
+
+        The peel order (the ``bd5`` degeneracy order) is not kept here:
+        :meth:`search_order` memoises it as keys when it is asked for.
+        """
         from repro.cores.flat import flat_core_decomposition
 
-        self._core_numbers, self._core_order = flat_core_decomposition(self.csr)
+        self._core_numbers, order = flat_core_decomposition(self.csr)
+        return order
 
     def search_order(self, order: str) -> List[VertexKey]:
         """The requested total search order (memoised per order name).
@@ -363,9 +367,7 @@ class PreparedGraph:
         if order == ORDER_BIDEGENERACY:
             return list(self.bicore_decomposition()[1])
         if order == ORDER_DEGENERACY:
-            if self._core_order is None:
-                self._peel_cores()
-            return [keys[i] for i in self._core_order]
+            return [keys[i] for i in self._peel_cores()]
         # Unknown names fall through to the canonical validator so the
         # error message stays in one place.
         return search_order(self.graph, order)
@@ -434,15 +436,8 @@ class PreparedGraph:
         child_indptr = [0] * (len(alive) + 1)
         child_indices: List[int] = []
         for child_id, vertex in enumerate(alive):
-            child_indices.extend(
-                [
-                    mapped
-                    for mapped in map(
-                        new_id.__getitem__, indices[indptr[vertex] : indptr[vertex + 1]]
-                    )
-                    if mapped >= 0
-                ]
-            )
+            row = [new_id[u] for u in indices[indptr[vertex] : indptr[vertex + 1]]]
+            child_indices.extend(mapped for mapped in row if mapped >= 0)
             child_indptr[child_id + 1] = len(child_indices)
         num_left = bisect_left(alive, csr.num_left)
         keys = csr.keys

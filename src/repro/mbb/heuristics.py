@@ -271,10 +271,9 @@ def core_heuristic(
     else:
         if cores is None:
             cores = core_numbers(graph)
-        label_cores = cores
 
         def score(side: str, label: Vertex) -> float:
-            return label_cores.get((side, label), 0)
+            return cores.get((side, label), 0)
 
         seeds = _top_vertices(graph, score, top_r)
     return _extend_seeds(graph, seeds, context)
