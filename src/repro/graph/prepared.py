@@ -68,7 +68,6 @@ from repro.graph.bipartite import BipartiteGraph, Vertex
 from repro.graph.buffers import (
     IntBuffer,
     SegmentKeepalive,
-    as_int_list,
     attach_shared_memory,
     buffer_to_bytes,
     buffer_view,
@@ -428,8 +427,8 @@ class PreparedGraph:
     def _derive_residual(self, alive: List[int]) -> "PreparedGraph":
         """Child bundle induced by the ascending surviving ids ``alive``."""
         csr = self.csr
-        indptr = as_int_list(csr.indptr)
-        indices = as_int_list(csr.indices)
+        indptr = buffer_view(csr.indptr)
+        indices = buffer_view(csr.indices)
         new_id = [-1] * csr.num_vertices
         for child_id, vertex in enumerate(alive):
             new_id[vertex] = child_id
